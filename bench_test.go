@@ -1,174 +1,60 @@
-// Benchmarks regenerating every experiment of EXPERIMENTS.md (one per
-// table/figure-claim of the paper) plus micro-benchmarks of the substrates.
+// Benchmarks timing every experiment of the paper reproduction (one
+// family per table/figure claim, defined in internal/benchcases) plus
+// engine, micro and ablation benchmarks of the substrates.
 // Run: go test -bench=. -benchmem
 package repro
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
+	"repro/internal/benchcases"
 	"repro/internal/bounds"
 	"repro/internal/chainalg"
 	"repro/internal/csma"
 	"repro/internal/engine"
 	"repro/internal/lattice"
-	"repro/internal/naive"
 	"repro/internal/paper"
-	"repro/internal/rel"
 	"repro/internal/scenario"
 	"repro/internal/smalg"
 	"repro/internal/varset"
 	"repro/internal/wcoj"
 )
 
-// E1: Fig.1 skew instance — Chain Algorithm Õ(N^{3/2}) vs FD-blind
-// Generic-Join Ω(N²) (Example 5.8).
-func BenchmarkE1ChainVsWCOJ(b *testing.B) {
-	for _, n := range []int{128, 512} {
-		q := paper.Fig1Skew(n)
-		b.Run("chain/N="+itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := chainalg.RunBest(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("generic/N="+itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := wcoj.GenericJoin(q, []int{1, 2, 0, 3}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// The E-series: each family's cases, and the paper claim each times, are
+// defined once in internal/benchcases, which cmd/benchrecord records too.
+func BenchmarkE1ChainVsWCOJ(b *testing.B)   { benchFamily(b, "E1") }
+func BenchmarkE2DegreeBounds(b *testing.B)  { benchFamily(b, "E2") }
+func BenchmarkE3TriangleAGM(b *testing.B)   { benchFamily(b, "E3") }
+func BenchmarkE4M3(b *testing.B)            { benchFamily(b, "E4") }
+func BenchmarkE5SMvsChain(b *testing.B)     { benchFamily(b, "E5") }
+func BenchmarkE6CSMA(b *testing.B)          { benchFamily(b, "E6") }
+func BenchmarkE7GoodChain(b *testing.B)     { benchFamily(b, "E7") }
+func BenchmarkE8Closure(b *testing.B)       { benchFamily(b, "E8") }
+func BenchmarkE9Classify(b *testing.B)      { benchFamily(b, "E9") }
+func BenchmarkE10LLPDuality(b *testing.B)   { benchFamily(b, "E10") }
+func BenchmarkE11QuasiProduct(b *testing.B) { benchFamily(b, "E11") }
+func BenchmarkE12SimpleFDs(b *testing.B)    { benchFamily(b, "E12") }
 
-// E2: degree-bounded triangle through the CLLP (Sec. 5.3).
-func BenchmarkE2DegreeBounds(b *testing.B) {
-	for _, d := range []int{2, 8} {
-		q := paper.DegreeTriangle(256, d)
-		b.Run("csma/d="+itoa(d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := csma.Run(q, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// E3: triangle AGM worst case (Theorem 2.1).
-func BenchmarkE3TriangleAGM(b *testing.B) {
-	for _, m := range []int{8, 16} {
-		q := paper.TriangleProduct(m)
-		b.Run("generic/m="+itoa(m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := wcoj.GenericJoin(q, wcoj.DefaultOrder(q)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// E4: M3 mod-N instance — chain bound tight at N² (Example 5.12).
-func BenchmarkE4M3(b *testing.B) {
-	for _, n := range []int{16, 32} {
-		q := paper.M3Instance(n)
-		b.Run("chain/N="+itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := chainalg.RunBest(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// E5: Fig.4 — SMA within N^{4/3} beating every chain (Example 5.25).
-func BenchmarkE5SMvsChain(b *testing.B) {
-	q, _ := paper.Fig4Instance(64)
-	b.Run("sma", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := smalg.RunAuto(q); err != nil {
-				b.Fatal(err)
-			}
+// benchFamily times each case of one benchcases family, as a sub-benchmark
+// when the case names one.
+func benchFamily(b *testing.B, family string) {
+	for _, c := range benchcases.Family(family) {
+		if c.Sub == "" {
+			benchCase(b, c)
+			continue
 		}
-	})
-	b.Run("chain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := chainalg.RunBest(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// E6: Fig.9 — CSMA on the query with no SM proof (Example 5.31).
-func BenchmarkE6CSMA(b *testing.B) {
-	for _, n := range []int{16, 64} {
-		q, _ := paper.Fig9Instance(n)
-		b.Run("csma/N="+itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := csma.Run(q, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(c.Sub, func(b *testing.B) { benchCase(b, c) })
 	}
 }
 
-// E7: Fig.5 — good-chain selection (Corollary 5.9).
-func BenchmarkE7GoodChain(b *testing.B) {
-	q := paper.Fig5Instance(32)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := chainalg.RunBest(q); err != nil {
-			b.Fatal(err)
-		}
+func benchCase(b *testing.B, c benchcases.Case) {
+	op, err := c.Setup()
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// E8: closure bounds (Sec. 2).
-func BenchmarkE8Closure(b *testing.B) {
-	q := paper.CompositeKey(8, 1024)
-	for i := 0; i < b.N; i++ {
-		_ = bounds.AGMClosure(q)
-		_ = bounds.LLP(q)
-	}
-}
-
-// E9: full lattice classification of the Fig.9 query (Fig. 10 regions).
-func BenchmarkE9Classify(b *testing.B) {
-	q, _ := paper.Fig9Instance(4)
-	for i := 0; i < b.N; i++ {
-		_ = bounds.IsNormalLattice(q)
-	}
-}
-
-// E10: LLP primal+dual solve on the running example (Lemma 3.9).
-func BenchmarkE10LLPDuality(b *testing.B) {
-	q := paper.Fig1QuasiProduct(256)
-	for i := 0; i < b.N; i++ {
-		_ = bounds.LLP(q)
-	}
-}
-
-// E11: quasi-product materialization check (Lemma 4.5).
-func BenchmarkE11QuasiProduct(b *testing.B) {
-	q := paper.Fig1QuasiProduct(64)
-	for i := 0; i < b.N; i++ {
-		_ = naive.Evaluate(q)
-	}
-}
-
-// E12: simple FDs — chain algorithm on a distributive lattice (Cor. 5.17).
-func BenchmarkE12SimpleFDs(b *testing.B) {
-	q := paper.SimpleFDChain(5, 64)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := chainalg.RunBest(q); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchcases.Loop(b, op)
 }
 
 // Engine layer: prepared-query execution, sequential vs hash-partitioned
@@ -187,7 +73,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 	}
 	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := bound.Run(ctx, &engine.Options{Workers: workers, MinParallelRows: 1}); err != nil {
 					b.Fatal(err)
@@ -267,12 +153,14 @@ func BenchmarkMicroSimplexLLP(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroIndexBuild times a cold index sort: each iteration takes
+// a fresh zero-copy view, whose index cache starts empty.
 func BenchmarkMicroIndexBuild(b *testing.B) {
 	q := paper.TriangleProduct(32)
 	r := q.Rels[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = r.IndexOn(0, 1)
+		_ = r.WithAttrs(r.Name, r.Attrs...).IndexOn(0, 1)
 	}
 }
 
@@ -295,20 +183,6 @@ func BenchmarkMicroExpansion(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // --- ablation benches (design-choice comparisons called out in DESIGN.md) ---
@@ -370,55 +244,10 @@ func BenchmarkAblationAlgorithms(b *testing.B) {
 	})
 }
 
-// Ablation: exact rational LLP solve cost as the lattice grows.
-// Limit1: streaming early termination (PR 5). On a worst/* AGM-saturating
-// product the planner runs Generic-Join, whose identity-order descent
-// streams rows natively — a LIMIT-1 consumer stops the whole execution
-// after the first successful descent, while the full run enumerates all
-// ~N^{3/2} rows. COUNT-only sits in between: full enumeration, zero
-// materialization. The acceptance bar is limit1 ≥ 10× faster than full.
-func BenchmarkLimit1(b *testing.B) {
-	ctx := context.Background()
-	for _, n := range []int{128, 512} {
-		q := scenario.AGMProduct(n, 1)
-		p, err := engine.Prepare(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bd, err := p.Bind(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := &engine.Options{Workers: 1}
-		b.Run("full/N="+itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := bd.Run(ctx, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("count/N="+itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var c rel.CountSink
-				if _, err := bd.RunInto(ctx, opts, &c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("limit1/N="+itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var c rel.CountSink
-				if _, err := bd.RunInto(ctx, opts, rel.Limit(&c, 1)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// Limit1: streaming early termination; the cases are in internal/benchcases.
+func BenchmarkLimit1(b *testing.B) { benchFamily(b, "Limit1") }
 
+// Ablation: exact rational LLP solve cost as the lattice grows.
 func BenchmarkAblationLLPSize(b *testing.B) {
 	q1 := paper.M3Instance(8)       // |L| = 5
 	q2 := paper.Fig1QuasiProduct(4) // |L| = 12

@@ -1,4 +1,5 @@
-// Command benchrecord runs the paper's experiment workloads under
+// Command benchrecord runs the paper's experiment workloads (the recorded
+// internal/benchcases cases plus engine and skew runs) under
 // testing.Benchmark and writes a BENCH_N.json snapshot, so the repo's perf
 // trajectory is recorded machine-readably per PR (see DESIGN.md).
 //
@@ -13,17 +14,12 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/benchcases"
 	"repro/internal/benchkit"
-	"repro/internal/chainalg"
-	"repro/internal/csma"
 	"repro/internal/engine"
-	"repro/internal/naive"
 	"repro/internal/paper"
 	"repro/internal/query"
-	"repro/internal/rel"
 	"repro/internal/scenario"
-	"repro/internal/smalg"
-	"repro/internal/wcoj"
 )
 
 func main() {
@@ -32,40 +28,23 @@ func main() {
 
 	s := benchkit.NewSuite()
 
-	record := func(name string, f func() error) {
-		br := s.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := f(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	record := func(name string, f benchcases.Op) {
+		br := s.Run(name, func(b *testing.B) { benchcases.Loop(b, f) })
 		fmt.Printf("%-32s %12.0f ns/op %10d B/op %8d allocs/op\n",
 			br.Name, br.NsPerOp, br.BytesPerOp, br.AllocsPerOp)
 	}
 
-	e1 := paper.Fig1Skew(512)
-	record("E1/chain/N=512", func() error { _, _, err := chainalg.RunBest(e1); return err })
-	record("E1/generic/N=512", func() error { _, _, err := wcoj.GenericJoin(e1, []int{1, 2, 0, 3}); return err })
-
-	e2 := paper.DegreeTriangle(256, 8)
-	record("E2/csma/d=8", func() error { _, _, err := csma.Run(e2, nil); return err })
-
-	e3 := paper.TriangleProduct(16)
-	record("E3/generic/m=16", func() error { _, _, err := wcoj.GenericJoin(e3, wcoj.DefaultOrder(e3)); return err })
-
-	e4 := paper.M3Instance(32)
-	record("E4/chain/N=32", func() error { _, _, err := chainalg.RunBest(e4); return err })
-
-	e5, _ := paper.Fig4Instance(64)
-	record("E5/sma", func() error { _, _, err := smalg.RunAuto(e5); return err })
-
-	e6, _ := paper.Fig9Instance(64)
-	record("E6/csma/N=64", func() error { _, _, err := csma.Run(e6, nil); return err })
-
-	e11 := paper.Fig1QuasiProduct(64)
-	record("E11/naive", func() error { naive.Evaluate(e11); return nil })
+	for _, c := range benchcases.Cases() {
+		if c.Record == "" {
+			continue
+		}
+		op, err := c.Setup()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchrecord:", err)
+			os.Exit(1)
+		}
+		record(c.Record, op)
+	}
 
 	// Engine layer: parallel partitioned execution vs sequential on the
 	// same bound instance (the plan is cached after the first run, so both
@@ -99,26 +78,6 @@ func main() {
 	bE12 := engineBound(paper.SimpleFDChain(5, 512))
 	record("engine/E12/seq/N=512", runWith(bE12, 1))
 	record("engine/E12/par4/N=512", runWith(bE12, 4))
-
-	// Streaming early termination on a worst/* AGM-saturating product:
-	// full materialization vs COUNT-only vs LIMIT-1 through the same bound
-	// instance (warm plan and index caches — the delta is pure execution).
-	bWorst := engineBound(scenario.AGMProduct(512, 1))
-	seqOpts := &engine.Options{Workers: 1}
-	record("limit/worst512/full", func() error {
-		_, _, err := bWorst.Run(ctx, seqOpts)
-		return err
-	})
-	record("limit/worst512/count", func() error {
-		var c rel.CountSink
-		_, err := bWorst.RunInto(ctx, seqOpts, &c)
-		return err
-	})
-	record("limit/worst512/limit1", func() error {
-		var c rel.CountSink
-		_, err := bWorst.RunInto(ctx, seqOpts, rel.Limit(&c, 1))
-		return err
-	})
 
 	// Skew family: the skew/zipf-hot adversarial instance (four hot hubs
 	// colliding in one static hash partition at 4 workers). Wall clocks

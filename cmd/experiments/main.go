@@ -1,7 +1,7 @@
 // Command experiments regenerates every experiment table of the
-// reproduction (E1–E12 in DESIGN.md / EXPERIMENTS.md), printing paper
-// expectation vs. measured value for each bound, classification, and
-// algorithm-scaling claim in the paper.
+// reproduction (E1–E13), printing paper expectation vs. measured value for
+// each bound, classification, and algorithm-scaling claim in the paper.
+// internal/benchcases times the same workloads as benchmarks.
 //
 // Usage:
 //
@@ -18,7 +18,6 @@ import (
 	"repro/internal/benchkit"
 	"repro/internal/bounds"
 	"repro/internal/chainalg"
-	"repro/internal/core"
 	"repro/internal/csma"
 	"repro/internal/engine"
 	"repro/internal/lattice"
@@ -61,7 +60,7 @@ func e1() {
 		"N", "AGM", "AGM(Q⁺)", "GLVV/LLP", "best chain", "|Q| measured")
 	for _, N := range []int{64, 256} {
 		q := paper.Fig1QuasiProduct(N)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		n := logb(float64(q.Rels[0].Len()))
 		out := naive.Evaluate(q)
 		t.Row(q.Rels[0].Len(), a.LogAGM/n, a.LogAGMClosure/n, a.LogLLP/n, a.LogChain/n, out.Len())
@@ -126,8 +125,6 @@ func e2() {
 		lv, _ := llp.LogBound.Float64()
 		n := logb(float64(q.Rels[2].Len()))
 		out := naive.Evaluate(q).Project(q.Vars("x", "y", "z"))
-		t.Row(q.Rels[2].Len(), d, lv, n+logb(float64(d)), out.Len())
-		_ = out
 		t2.Row(q.Rels[2].Len(), d, lv, n+logb(float64(d)), out.Len())
 	}
 	fmt.Println(t2)
@@ -159,7 +156,7 @@ func e4() {
 		"N", "GLVV/LLP", "chain", "coatomic (invalid)", "|Q| = N²", "chain-alg time")
 	for _, N := range []int{8, 16, 32} {
 		q := paper.M3Instance(N)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		var out int
 		dur := benchkit.Time(func() {
 			o, _, err := chainalg.RunBest(q)
@@ -178,8 +175,8 @@ func e5() {
 		"N=m³", "chain bound", "GLVV=SM bound", "|Q| = m⁴", "SMA time", "chain-alg time")
 	var ns, smWork []float64
 	for _, m := range []int{3, 4, 5} {
-		q, mm := paper.Fig4Instance(m * m * m)
-		a := core.Analyze(q)
+		q, _ := paper.Fig4Instance(m * m * m)
+		a := engine.Analyze(q)
 		var out int
 		smDur := benchkit.Time(func() {
 			o, _, err := smalg.RunAuto(q)
@@ -194,7 +191,6 @@ func e5() {
 		ns = append(ns, N)
 		smWork = append(smWork, float64(out))
 		t.Row(q.Rels[0].Len(), benchkit.Pow2(a.LogChain), benchkit.Pow2(a.LogLLP), out, smDur, chDur)
-		_ = mm
 	}
 	fmt.Println(t)
 	fmt.Printf("output exponent vs N (paper: 4/3 ≈ 1.33): %.2f\n\n", benchkit.Slope(ns, smWork))
@@ -240,14 +236,13 @@ func e7() {
 	mc := lattice.Chain{l.Bottom, l.Index(q.Vars("z")), l.Index(q.Vars("x", "z")), l.Top}
 	r1 := bounds.ChainBound(q, mc)
 	best := bounds.BestChainBound(q, 64)
-	out, st, err := chainalg.RunBest(q)
+	out, _, err := chainalg.RunBest(q)
 	must(err)
 	t := benchkit.NewTable("E7 — Fig.5: R(x), S(y), z=f(x,y) (Example 5.10)",
 		"chain", "bound", "|Q|")
 	t.Row("0̂≺z≺xz≺1̂ (maximal)", r1.Bound(), "-")
 	t.Row(fmt.Sprintf("Cor 5.9 chain (len %d)", len(best.Chain)), best.Bound(), out.Len())
 	fmt.Println(t)
-	_ = st
 }
 
 // E8: Sec. 2 "Closure" — simple keys are handled by AGM(Q⁺); composite keys
@@ -261,13 +256,13 @@ func e8() {
 			q.Rels[1].Add(paper.Value(1000+i), paper.Value(1000+i))
 			q.Rels[2].Add(paper.Value(1000+i), paper.Value(1000+i))
 		}
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		t.Row("4-cycle, key y→z", benchkit.Pow2(a.LogAGM), benchkit.Pow2(a.LogAGMClosure),
 			benchkit.Pow2(a.LogLLP), naive.Evaluate(q).Len())
 	}
 	{
 		q := paper.CompositeKey(8, 4096)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		t.Row("R(x),S(y),T(x,y,z), key xy→z", benchkit.Pow2(a.LogAGM), benchkit.Pow2(a.LogAGMClosure),
 			benchkit.Pow2(a.LogLLP), naive.Evaluate(q).Len())
 	}
@@ -279,7 +274,7 @@ func e9() {
 	t := benchkit.NewTable("E9 — lattice classification (Fig. 10 regions)",
 		"lattice", "|L|", "distributive", "modular", "normal", "M3-top", "good SM proof")
 	row := func(name string, q *query.Q) {
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		t.Row(name, a.LatticeSize, a.Distributive, a.Modular, a.Normal, a.HasM3Top, a.SMProofExists)
 	}
 	row("Boolean (triangle)", paper.TriangleProduct(3))
@@ -325,7 +320,7 @@ func e11() {
 		"N", "GLVV bound", "|Q| on quasi-product instance", "ratio")
 	for _, N := range []int{16, 64, 256} {
 		q := paper.Fig1QuasiProduct(N)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		out := naive.Evaluate(q).Len()
 		t.Row(q.Rels[0].Len(), benchkit.Pow2(a.LogLLP), out, float64(out)/benchkit.Pow2(a.LogLLP))
 	}
@@ -339,7 +334,7 @@ func e12() {
 		"k vars", "N", "distributive", "LLP", "chain bound", "|Q|", "chain-alg time")
 	for _, k := range []int{3, 4, 5} {
 		q := paper.SimpleFDChain(k, 64)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
 		var out int
 		dur := benchkit.Time(func() {
 			o, _, err := chainalg.RunBest(q)
@@ -356,9 +351,9 @@ func e12() {
 func e13() {
 	t := benchkit.NewTable("E13 — engine planner decisions (decision table in DESIGN.md)",
 		"workload", "plan", "predicted log2 bound", "|Q|")
+	ctx := context.Background()
 	prow := func(name string, q *query.Q) {
-		out, st, err := core.ExecuteOptions(context.Background(), q,
-			&engine.Options{Workers: 1})
+		out, st, err := bind(q).Run(ctx, &engine.Options{Workers: 1})
 		must(err)
 		t.Row(name, string(st.Plan.Algorithm), st.Plan.LogBound, out.Len())
 	}
@@ -372,17 +367,13 @@ func e13() {
 
 	t2 := benchkit.NewTable("E13b — parallel partitioned execution vs sequential",
 		"workload", "plan", "workers", "seq time", "par time", "speedup", "|Q| identical")
-	ctx := context.Background()
 	cmp := func(name string, q *query.Q) {
-		p, err := engine.Prepare(q)
-		must(err)
-		b, err := p.Bind(nil)
-		must(err)
+		b := bind(q)
 		var seqOut, parOut *rel.Relation
 		var stPar *engine.Stats
 		// Warm both paths so the timings measure execution — not LP solves,
 		// the one-time partition split, or cold per-part index caches.
-		_, _, err = b.Run(ctx, &engine.Options{Workers: 1})
+		_, _, err := b.Run(ctx, &engine.Options{Workers: 1})
 		must(err)
 		_, _, err = b.Run(ctx, &engine.Options{Workers: 4, MinParallelRows: 1})
 		must(err)
@@ -398,23 +389,22 @@ func e13() {
 			must(err)
 			parOut, stPar = o, st
 		})
-		same := seqOut.Len() == parOut.Len()
-		for i := 0; same && i < seqOut.Len(); i++ {
-			a, bb := seqOut.Row(i), parOut.Row(i)
-			for c := range a {
-				if a[c] != bb[c] {
-					same = false
-					break
-				}
-			}
-		}
 		t2.Row(name, string(stPar.Plan.Algorithm), stPar.Workers, seqDur, parDur,
-			float64(seqDur)/float64(parDur), same)
+			float64(seqDur)/float64(parDur), rel.Identical(seqOut, parOut))
 	}
 	cmp("E1 skew N=1024 (chain)", paper.Fig1Skew(1024))
 	cmp("E3 triangle m=24 (generic)", paper.TriangleProduct(24))
 	cmp("E12 simple FDs k=5 N=512 (chain)", paper.SimpleFDChain(5, 512))
 	fmt.Println(t2)
+}
+
+// bind prepares q and binds it to its own instance.
+func bind(q *query.Q) *engine.Bound {
+	p, err := engine.Prepare(q)
+	must(err)
+	b, err := p.Bind(nil)
+	must(err)
+	return b
 }
 
 func mustQ[T any](q *query.Q, _ T) *query.Q { return q }

@@ -9,7 +9,7 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/lattice"
 	"repro/internal/paper"
 	"repro/internal/query"
@@ -40,7 +40,7 @@ func main() {
 }
 
 func classify(name string, q *query.Q) {
-	a := core.Analyze(q)
+	a := engine.Analyze(q)
 	fmt.Printf("%-32s |L|=%-3d distributive=%-5v normal=%-5v M3-top=%-5v goodSMproof=%-5v\n",
 		name, a.LatticeSize, a.Distributive, a.Normal, a.HasM3Top, a.SMProofExists)
 	fmt.Printf("%-32s bounds(log2): AGM=%.2f AGM(Q⁺)=%.2f chain=%.2f GLVV=%.2f\n\n",

@@ -11,9 +11,10 @@ package main
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/chainalg"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/paper"
 	"repro/internal/wcoj"
 )
@@ -21,9 +22,10 @@ import (
 func main() {
 	for _, n := range []int{128, 256, 512} {
 		q := paper.Fig1Skew(n)
-		a := core.Analyze(q)
+		a := engine.Analyze(q)
+		logN := math.Log2(float64(n))
 		fmt.Printf("N = %4d: AGM = N^%.2f, GLVV = N^%.2f, chain bound = N^%.2f\n",
-			n, a.LogAGM/log2(n), a.LogLLP/log2(n), a.LogChain/log2(n))
+			n, a.LogAGM/logN, a.LogLLP/logN, a.LogChain/logN)
 
 		out, chainStats, err := chainalg.RunBest(q)
 		if err != nil {
@@ -38,12 +40,4 @@ func main() {
 			gjStats.Extensions+gjStats.Lookups,
 			float64(gjStats.Extensions+gjStats.Lookups)/float64(chainStats.TuplesVisited+chainStats.Probes))
 	}
-}
-
-func log2(n int) float64 {
-	l := 0.0
-	for v := 1; v < n; v *= 2 {
-		l++
-	}
-	return l
 }

@@ -112,7 +112,8 @@ type Server struct {
 	}
 	conns struct {
 		sync.Mutex
-		m map[*serverConn]struct{}
+		m    map[*serverConn]struct{}
+		idle chan struct{} // closed while m is empty (see waitIdle)
 	}
 	wg sync.WaitGroup
 }
@@ -144,6 +145,8 @@ func New(cfg Config) (*Server, error) {
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
 	s.listeners.ls = map[net.Listener]struct{}{}
 	s.conns.m = map[*serverConn]struct{}{}
+	s.conns.idle = make(chan struct{})
+	close(s.conns.idle)
 	s.defaultTenant = s.newTenant("", cfg.DefaultGovernor)
 	for name, opts := range cfg.Tenants {
 		if name == "" {
@@ -265,6 +268,9 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		sc := &serverConn{s: s, conn: conn}
 		s.conns.Lock()
+		if len(s.conns.m) == 0 {
+			s.conns.idle = make(chan struct{})
+		}
 		s.conns.m[sc] = struct{}{}
 		s.conns.Unlock()
 		s.metrics.OpenConns.Add(1)
@@ -276,11 +282,28 @@ func (s *Server) Serve(ln net.Listener) error {
 				conn.Close()
 				s.conns.Lock()
 				delete(s.conns.m, sc)
-				s.conns.Unlock()
 				s.metrics.OpenConns.Add(-1)
+				if len(s.conns.m) == 0 {
+					close(s.conns.idle)
+				}
+				s.conns.Unlock()
 			}()
 			sc.serve()
 		}()
+	}
+}
+
+// waitIdle blocks until no connection is open, so OpenConns reads zero,
+// or until ctx is done.
+func (s *Server) waitIdle(ctx context.Context) error {
+	s.conns.Lock()
+	idle := s.conns.idle
+	s.conns.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

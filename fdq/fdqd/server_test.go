@@ -68,6 +68,18 @@ func startServer(t *testing.T, cfg fdqd.Config) (*fdqd.Server, string) {
 	return srv, ln.Addr().String()
 }
 
+// waitIdle waits for the server's connection teardowns to finish: a
+// client's Close returns before the server's connection goroutine has
+// noticed it and decremented OpenConns.
+func waitIdle(t *testing.T, srv *fdqd.Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := fdqd.WaitIdle(ctx, srv); err != nil {
+		t.Fatalf("connections did not close: %v (%d open)", err, srv.Metrics().OpenConns.Load())
+	}
+}
+
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -303,6 +315,7 @@ func TestClientDisconnectMidStream(t *testing.T) {
 	// (startServer's cleanup shuts the server down after this check, so
 	// only the serve/accept goroutines remain above base here).
 	settleGoroutines(t, base+3)
+	waitIdle(t, srv)
 	if n := srv.Metrics().OpenConns.Load(); n != 0 {
 		t.Fatalf("%d connections still open", n)
 	}

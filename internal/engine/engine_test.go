@@ -7,11 +7,15 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/chainalg"
+	"repro/internal/csma"
 	"repro/internal/naive"
 	"repro/internal/paper"
 	"repro/internal/query"
 	"repro/internal/rel"
-	"repro/internal/workload"
+	"repro/internal/scenario"
+	"repro/internal/smalg"
+	"repro/internal/wcoj"
 )
 
 func mustRun(t *testing.T, q *query.Q, opts *Options) (*rel.Relation, *Stats) {
@@ -153,6 +157,52 @@ func TestPlannerPicksBinaryOnTinyInput(t *testing.T) {
 	pl := planOf(t, q)
 	if pl.Algorithm != AlgBinary {
 		t.Fatalf("want binary, got %s (%s)", pl.Algorithm, pl.Reason)
+	}
+}
+
+// --- Analyze: every bound and the lattice classification ---
+
+func TestAnalyzeFig1(t *testing.T) {
+	q := paper.Fig1QuasiProduct(16)
+	a := Analyze(q)
+	n := math.Log2(16)
+	if a.LatticeSize != 12 || a.Distributive || !a.Normal {
+		t.Fatalf("Fig1 classification wrong: %+v", a)
+	}
+	if math.Abs(a.LogLLP-1.5*n) > 1e-6 || math.Abs(a.LogChain-1.5*n) > 1e-6 {
+		t.Fatalf("Fig1 bounds wrong: LLP %v chain %v", a.LogLLP, a.LogChain)
+	}
+	if math.Abs(a.LogAGM-2*n) > 1e-6 {
+		t.Fatalf("Fig1 AGM %v, want %v", a.LogAGM, 2*n)
+	}
+	if !a.SMProofExists {
+		t.Fatal("Fig1 should have a good SM proof")
+	}
+}
+
+func TestAnalyzeM3(t *testing.T) {
+	q := paper.M3Instance(8)
+	a := Analyze(q)
+	if a.Normal || !a.HasM3Top || a.Distributive || !a.Modular {
+		t.Fatalf("M3 classification wrong: %+v", a)
+	}
+	n := math.Log2(8)
+	if math.Abs(a.LogLLP-2*n) > 1e-6 {
+		t.Fatalf("M3 LLP %v, want %v", a.LogLLP, 2*n)
+	}
+	if math.Abs(a.LogCoatomic-1.5*n) > 1e-6 {
+		t.Fatalf("M3 coatomic %v, want %v", a.LogCoatomic, 1.5*n)
+	}
+}
+
+func TestAnalyzeFig9(t *testing.T) {
+	q, _ := paper.Fig9Instance(4)
+	a := Analyze(q)
+	if a.SMProofExists {
+		t.Fatal("Fig9 must have no good SM proof (Example 5.31)")
+	}
+	if !a.Normal {
+		t.Fatal("Fig9 lattice is normal")
 	}
 }
 
@@ -328,7 +378,7 @@ func TestFuzzPlannerMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(516))
 	for trial := 0; trial < 30; trial++ {
 		withFDs := trial%2 == 0
-		q := workload.RandomQuery(rng, 3+rng.Intn(2), 2+rng.Intn(2), 20, 4, withFDs)
+		q := scenario.RandomQuery(rng, 3+rng.Intn(2), 2+rng.Intn(2), 20, 4, withFDs)
 		if err := q.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -340,5 +390,88 @@ func TestFuzzPlannerMatchesNaive(t *testing.T) {
 		}
 		par, _ := mustRun(t, q, &Options{Workers: 3, MinParallelRows: 1})
 		identical(t, seq, par)
+	}
+}
+
+// Differential fuzzing: every executor must agree with the naive oracle on
+// random queries with and without FDs.
+func TestFuzzAllAlgorithms(t *testing.T) {
+	rng := rand.New(rand.NewSource(2016))
+	for trial := 0; trial < 40; trial++ {
+		withFDs := trial%2 == 0
+		q := scenario.RandomQuery(rng, 3+rng.Intn(2), 2+rng.Intn(2), 12, 4, withFDs)
+		if err := q.Validate(); err != nil {
+			t.Fatalf("trial %d: generated query invalid: %v", trial, err)
+		}
+		want := naive.Evaluate(q)
+
+		check := func(name string, out *rel.Relation, err error) {
+			t.Helper()
+			if err != nil {
+				// SMA may legitimately fail when no good proof exists.
+				if name == "sma" {
+					return
+				}
+				t.Fatalf("trial %d (%s): %v", trial, name, err)
+			}
+			if !rel.Equal(out, want) {
+				t.Fatalf("trial %d (%s): got %d tuples, want %d (FDs=%v)",
+					trial, name, out.Len(), want.Len(), withFDs)
+			}
+		}
+		out, _, err := chainalg.RunBest(q)
+		check("chain", out, err)
+		out, _, err = csma.Run(q, nil)
+		check("csma", out, err)
+		out, _, err = smalg.RunAuto(q)
+		check("sma", out, err)
+		out, _, err = wcoj.GenericJoin(q, wcoj.DefaultOrder(q))
+		check("generic", out, err)
+		out, _, err = wcoj.BinaryPlan(q, nil)
+		check("binary", out, err)
+
+		// The engine's cost-based plan and its parallel partitioned
+		// execution must agree with the oracle too.
+		p, err := Prepare(q)
+		if err != nil {
+			t.Fatalf("trial %d: prepare: %v", trial, err)
+		}
+		b, err := p.Bind(nil)
+		if err != nil {
+			t.Fatalf("trial %d: bind: %v", trial, err)
+		}
+		out, _, err = b.Run(context.Background(), &Options{Workers: 1})
+		check("engine-auto", out, err)
+		out, _, err = b.Run(context.Background(), &Options{Workers: 3, MinParallelRows: 1})
+		check("engine-parallel", out, err)
+	}
+}
+
+// Simple-key fuzzing: the Cor. 5.17 regime.
+func TestFuzzSimpleKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		q := scenario.RandomSimpleKeyQuery(rng, 3+rng.Intn(3), 10)
+		if err := q.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !q.Lattice().IsDistributive() {
+			t.Fatalf("trial %d: simple keys must give a distributive lattice", trial)
+		}
+		want := naive.Evaluate(q)
+		out, _, err := chainalg.RunBest(q)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !rel.Equal(out, want) {
+			t.Fatalf("trial %d: chain disagreement", trial)
+		}
+		out2, _, err := csma.Run(q, nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !rel.Equal(out2, want) {
+			t.Fatalf("trial %d: csma disagreement", trial)
+		}
 	}
 }

@@ -139,3 +139,50 @@ func logOrInf(r *bounds.AGMResult) float64 {
 	f, _ := r.LogBound.Float64()
 	return f
 }
+
+// Analysis is the full worst-case analysis of a query: every bound of the
+// paper (in log2) and the lattice classification that decides which of them
+// an algorithm can meet. Unlike a Plan it computes every bound, not only the
+// ones the decision table needs.
+type Analysis struct {
+	LatticeSize   int
+	Distributive  bool
+	Modular       bool
+	HasM3Top      bool // Prop. 4.10 necessary condition for non-normality
+	Normal        bool // Theorem 4.9 decision procedure
+	SMProofExists bool // a good SM proof for some optimal dual
+
+	LogAGM        float64 // AGM bound ignoring FDs (+Inf if infeasible)
+	LogAGMClosure float64 // AGM(Q⁺)
+	LogCoatomic   float64 // co-atomic cover bound (valid iff Normal)
+	LogLLP        float64 // GLVV bound (LLP optimum)
+	LogCLLP       float64 // CLLP with declared degree bounds (+Inf if none)
+	LogChain      float64 // best good chain bound (+Inf if none)
+}
+
+// Analyze computes every bound and classification for the query.
+func Analyze(q *query.Q) *Analysis {
+	l := q.Lattice()
+	a := &Analysis{
+		LatticeSize:   l.Size(),
+		Distributive:  l.IsDistributive(),
+		Modular:       l.IsModular(),
+		HasM3Top:      l.HasM3Top(),
+		Normal:        bounds.IsNormalLattice(q).Normal,
+		LogAGM:        logOrInf(bounds.AGM(q)),
+		LogAGMClosure: logOrInf(bounds.AGMClosure(q)),
+		LogCoatomic:   logOrInf(bounds.CoatomicCover(q)),
+		LogCLLP:       math.Inf(1),
+		LogChain:      math.Inf(1),
+	}
+	llp := bounds.LLP(q)
+	a.LogLLP, _ = llp.LogBound.Float64()
+	if cllp := bounds.CLLPFromQuery(q); cllp.LogBound != nil {
+		a.LogCLLP, _ = cllp.LogBound.Float64()
+	}
+	if cb := bounds.BestChainBound(q, 64); cb.Finite {
+		a.LogChain, _ = cb.LogBound.Float64()
+	}
+	a.SMProofExists = smalg.FindProofAuto(q, llp) != nil
+	return a
+}

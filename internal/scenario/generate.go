@@ -1,8 +1,8 @@
 // Instance generators: the synthetic constructions the catalog families are
-// built from. The first three (ProductInstance, RandomQuery,
-// RandomSimpleKeyQuery) moved here from internal/workload, which now
-// delegates; the rest are catalog-native (graph motifs, Zipf skew,
-// near-product noise, guarded FD DAGs and cycles).
+// built from: the AGM product instance (ProductInstance), random
+// FD-consistent queries for differential fuzzing (RandomQuery,
+// RandomSimpleKeyQuery), graph motifs, Zipf skew, near-product noise, and
+// guarded FD DAGs and cycles.
 package scenario
 
 import (

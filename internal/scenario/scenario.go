@@ -4,10 +4,9 @@
 // bound-saturating construction, an adversarial FD structure), parameterized
 // by size and seed, and builds validated instances on demand.
 //
-// The catalog is the single source of synthetic workloads: the generators
-// that used to live ad hoc in internal/workload (random FD-consistent
-// queries, AGM product instances) are defined here, internal/workload
-// delegates to them, and internal/oracle + cmd/conformance drive every
+// The catalog is the single source of synthetic workloads (random
+// FD-consistent queries and AGM product instances included), and
+// internal/oracle + cmd/conformance drive every
 // catalog instance through the full engine configuration matrix against the
 // naive reference (see DESIGN.md, "Conformance").
 //

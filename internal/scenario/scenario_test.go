@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/naive"
+	"repro/internal/paper"
 )
 
 // Every catalog instance — full tier, which includes the small tier — must
@@ -114,6 +115,13 @@ func TestAGMProductSaturates(t *testing.T) {
 	}
 	if out.Len() != total {
 		t.Fatalf("AGM product output %d != product of domains %d", out.Len(), total)
+	}
+}
+
+func TestProductInstanceRejectsFDs(t *testing.T) {
+	q := paper.Fig1QuasiProduct(4)
+	if _, err := ProductInstance(q); err == nil {
+		t.Fatal("product instances are only defined without FDs")
 	}
 }
 

@@ -31,21 +31,11 @@ type Stats struct {
 	LiteSizes  []int // |T(X∨Y)| per step
 }
 
-// Run executes the SM Algorithm (Algorithm 2) for the query using the given
-// good proof sequence and the optimal LLP solution h* that the proof is
-// tight for. The result is exactly Q^D (the final semi-join reduction
-// filters the union of the T(1̂) tables against every input and FD). It is
-// the legacy materialized entry point, a zero-copy wrapper over RunInto.
-func Run(q *query.Q, llp *bounds.LLPResult, proof *Proof) (*rel.Relation, *Stats, error) {
-	sink := rel.NewCollect("Q", q.AllVars().Members()...)
-	st, err := RunInto(context.Background(), q, llp, proof, sink)
-	if err != nil {
-		return nil, st, err
-	}
-	return sink.R, st, nil
-}
-
-// RunInto executes the SM Algorithm streaming the result into sink.
+// RunInto executes the SM Algorithm (Algorithm 2) for the query using the
+// given good proof sequence and the optimal LLP solution h* that the proof
+// is tight for, streaming the result into sink. The result is exactly Q^D
+// (the final semi-join reduction filters the union of the T(1̂) tables
+// against every input and FD).
 func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proof, sink rel.Sink) (*Stats, error) {
 	l := llp.Lat
 	e := expand.New(q)
@@ -159,7 +149,7 @@ func RunInto(ctx context.Context, q *query.Q, llp *bounds.LLPResult, proof *Proo
 // solution: the solver's own dual weights first, then — when the co-atomic
 // hypergraph has no isolated vertex — every dual-optimal vertex of its
 // cover polytope. This is the proof-search pipeline shared by RunAuto,
-// core.Analyze, and the engine planner.
+// engine.Analyze, and the engine planner.
 func FindProofAuto(q *query.Q, llp *bounds.LLPResult) *Proof {
 	h, _ := bounds.CoatomicHypergraph(q)
 	var candidates [][]*big.Rat
