@@ -6,6 +6,7 @@ package repro
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lattice"
 	"repro/internal/paper"
+	"repro/internal/rel"
 	"repro/internal/scenario"
 	"repro/internal/smalg"
 	"repro/internal/varset"
@@ -116,6 +118,61 @@ func BenchmarkSkewZipfHot(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// analyticShapes are the families and sizes of fdqbench's analytic
+// workload: large COUNTs over generic-join, chain, SM and CSMA plans.
+var analyticShapes = []struct {
+	family string
+	size   int
+}{
+	{"motif/cycle4", 1536}, {"skew/zipf-hot", 8192}, {"skew/near-product", 2048},
+	{"worst/agm-product", 4096}, {"motif/clique4", 4096}, {"fd/dag", 4096},
+	{"paper/four-cycle-key", 4096}, {"paper/colored-triangle", 4096},
+	{"paper/degree-triangle", 8192},
+}
+
+// BenchmarkAnalyticCount counts each analytic shape through a bare
+// CountSink at one worker and at GOMAXPROCS, with default options
+// otherwise: the engine-level number behind the analytic workload's
+// end-to-end throughput. An untimed run first warms the indexes and the
+// morsel split, as a served query finds them.
+func BenchmarkAnalyticCount(b *testing.B) {
+	families := map[string]*scenario.Family{}
+	for _, f := range scenario.Catalog() {
+		families[f.Name] = f
+	}
+	ctx := context.Background()
+	for _, s := range analyticShapes {
+		f, ok := families[s.family]
+		if !ok {
+			b.Fatalf("unknown family %s", s.family)
+		}
+		p, err := engine.Prepare(f.Build(scenario.Params{Size: s.size, Seed: 1}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bound, err := p.Bind(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			opts := &engine.Options{Workers: workers}
+			b.Run(s.family+"/"+strconv.Itoa(s.size)+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
+				count := func() {
+					if _, err := bound.RunInto(ctx, opts, &rel.CountSink{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				count()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					count()
+				}
+			})
+		}
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/rel"
 	"repro/internal/smalg"
-	"repro/internal/varset"
 	"repro/internal/wcoj"
 )
 
@@ -273,21 +272,12 @@ func e8() {
 func e9() {
 	t := benchkit.NewTable("E9 — lattice classification (Fig. 10 regions)",
 		"lattice", "|L|", "distributive", "modular", "normal", "M3-top", "good SM proof")
-	row := func(name string, q *query.Q) {
-		a := engine.Analyze(q)
-		t.Row(name, a.LatticeSize, a.Distributive, a.Modular, a.Normal, a.HasM3Top, a.SMProofExists)
+	for _, l := range paper.Fig10Lattices() {
+		a := engine.Analyze(l.Query)
+		t.Row(l.Label, a.LatticeSize, a.Distributive, a.Modular, a.Normal, a.HasM3Top, a.SMProofExists)
 	}
-	row("Boolean (triangle)", paper.TriangleProduct(3))
-	row("Fig.1 running example", paper.Fig1QuasiProduct(16))
-	row("M3 (Fig.3)", paper.M3Instance(8))
-	q4, _ := paper.Fig4Instance(27)
-	row("Fig.4", q4)
-	row("Fig.5 (z=f(x,y))", paper.Fig5Instance(8))
-	q9, _ := paper.Fig9Instance(16)
-	row("Fig.9", q9)
-	row("simple FDs (chain)", paper.SimpleFDChain(4, 16))
 	// N5 as a standalone lattice (no instance): report its structure only.
-	n5 := lattice.FromFamily(3, []varset.Set{varset.Empty, varset.Of(0), varset.Of(0, 1), varset.Of(2), varset.Of(0, 1, 2)})
+	n5 := lattice.FromFamily(3, paper.N5Family())
 	t.Row("N5 (structure only)", n5.Size(), n5.IsDistributive(), n5.IsModular(), "-", n5.HasM3Top(), "-")
 	fmt.Println(t)
 }

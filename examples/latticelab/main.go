@@ -13,25 +13,17 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/paper"
 	"repro/internal/query"
-	"repro/internal/varset"
 )
 
 func main() {
 	fmt.Println("Fig. 10 taxonomy, computed from first principles:")
 	fmt.Println()
-	classify("Boolean algebra (triangle)", paper.TriangleProduct(3))
-	classify("Fig.1 running example", paper.Fig1QuasiProduct(16))
-	classify("M3 (Fig.3 right)", paper.M3Instance(8))
-	q4, _ := paper.Fig4Instance(27)
-	classify("Fig.4 (chain bound not tight)", q4)
-	classify("Fig.5 (z = f(x,y))", paper.Fig5Instance(8))
-	q9, _ := paper.Fig9Instance(16)
-	classify("Fig.9 (no SM proof)", q9)
-	classify("simple FDs (Prop. 3.2)", paper.SimpleFDChain(4, 16))
+	for _, l := range paper.Fig10Lattices() {
+		classify(l.Label, l.Query)
+	}
 
 	fmt.Println("structure-only lattices:")
-	n5 := lattice.FromFamily(3, []varset.Set{
-		varset.Empty, varset.Of(0), varset.Of(0, 1), varset.Of(2), varset.Of(0, 1, 2)})
+	n5 := lattice.FromFamily(3, paper.N5Family())
 	fmt.Printf("  N5: distributive=%v modular=%v M3-top=%v (paper: N5 is normal)\n",
 		n5.IsDistributive(), n5.IsModular(), n5.HasM3Top())
 	f7 := lattice.FromFamily(6, paper.Fig7Family())

@@ -52,6 +52,7 @@ const (
 // frame type that cannot appear where it did. It is terminal for the
 // connection (frame boundaries are unknowable afterwards) and is never
 // retried automatically — a peer that desyncs once will desync again.
+//
 //lint:ignore fdqvet/errtaxonomy client-side only: raised when framing desyncs, at which point no envelope can be trusted to carry it
 type ProtocolError struct {
 	Reason string

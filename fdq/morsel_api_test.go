@@ -82,7 +82,7 @@ func TestMorselStatsAndSessionOptions(t *testing.T) {
 	}
 
 	staticRows, stS := collectWithStats(t, fdq.NewSession(cat, fdq.WithStaticPartition()), q())
-	if stS.Morsels != 0 || stS.Steals != 0 || stS.AdaptSwitches != 0 {
+	if stS.Morsels != 0 || stS.Steals != 0 {
 		t.Fatalf("static path reported morsel stats: %+v", stS)
 	}
 	if !slices.EqualFunc(morselRows, staticRows, slices.Equal) {
@@ -95,52 +95,6 @@ func TestMorselStatsAndSessionOptions(t *testing.T) {
 	}
 	if !slices.EqualFunc(morselRows, fineRows, slices.Equal) {
 		t.Fatal("finer morsels changed the result")
-	}
-}
-
-// TestAdaptUndershootSessionOption: on a sparse instance whose certified
-// bound wildly overestimates the output, an adaptive session switches plans
-// mid-flight exactly once, memoizes the verdict on the cached prepared
-// shape (the second run starts adapted), and a disabled session never
-// switches — all three byte-identical.
-func TestAdaptUndershootSessionOption(t *testing.T) {
-	cat := fdq.NewCatalog()
-	var r, s, tt [][]fdq.Value
-	seed := uint64(9)
-	next := func() int64 {
-		seed = seed*2862933555777941757 + 3037000493
-		return int64(seed>>33) % 256
-	}
-	for i := 0; i < 700; i++ {
-		r = append(r, []fdq.Value{next(), next()})
-		s = append(s, []fdq.Value{next(), next()})
-		tt = append(tt, []fdq.Value{next(), next()})
-	}
-	for name, rows := range map[string][][]fdq.Value{"R": r, "S": s, "T": tt} {
-		if err := cat.Define(name, []string{"a", "b"}, rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := func() *fdq.Q { return triangleQuery().Workers(4) }
-
-	adaptive := fdq.NewSession(cat, fdq.WithAdaptUndershoot(0.5))
-	rows1, st1 := collectWithStats(t, adaptive, q())
-	if st1.AdaptSwitches != 1 {
-		t.Fatalf("first adaptive run: AdaptSwitches = %d, want 1 (%+v)", st1.AdaptSwitches, st1)
-	}
-	rows2, st2 := collectWithStats(t, adaptive, q())
-	if st2.AdaptSwitches != 0 {
-		t.Fatalf("memoized verdict should preempt re-switching: %+v", st2)
-	}
-
-	off, stOff := collectWithStats(t, fdq.NewSession(cat, fdq.WithAdaptUndershoot(-1)), q())
-	if stOff.AdaptSwitches != 0 {
-		t.Fatalf("disabled adaptivity switched anyway: %+v", stOff)
-	}
-	for _, other := range [][][]fdq.Value{rows2, off} {
-		if !slices.EqualFunc(rows1, other, slices.Equal) {
-			t.Fatal("adaptivity changed the result")
-		}
 	}
 }
 

@@ -17,8 +17,9 @@
 //
 // The planner (see planner.go) replaces the old try-SMA-then-CSMA "auto"
 // mode with a cost-based choice over the paper's bounds, and large
-// instances are executed in parallel by hash-partitioning one variable's
-// domain across a worker pool (see parallel.go).
+// instances are executed in parallel by range-splitting one variable's
+// sorted domain into morsels that a work-stealing worker pool pulls (see
+// morsel.go and parallel.go).
 package engine
 
 import (
@@ -66,12 +67,6 @@ type Options struct {
 	// an escape hatch (also switchable process-wide with
 	// FDQ_STATIC_PARTITION=1); the default is the morsel-driven scheduler.
 	StaticPartition bool
-	// AdaptUndershoot is the log2 gap between the plan's certified bound
-	// and the projected output size at which mid-flight adaptivity
-	// re-derives the algorithm/variable order for the remaining morsels
-	// (0: default 3, i.e. adapt when the bound overestimates by ≥8×;
-	// < 0 disables adaptivity). Only planner-chosen plans ever adapt.
-	AdaptUndershoot float64
 	// MemLimitBytes, when > 0, aborts the run with a *MemLimitError once
 	// the approximate bytes of result data accounted — parallel partition
 	// buffers plus rows delivered to the sink — exceed the budget. The
@@ -94,7 +89,6 @@ type Stats struct {
 
 	Morsels       int   // morsels scheduled on the morsel-driven path (0 = static or sequential)
 	Steals        int   // morsels a worker took from another worker's share
-	AdaptSwitches int   // mid-flight algorithm/order re-derivations (0 or 1 per run)
 	WorkerMorsels []int // morsels each worker executed (nil off the morsel path)
 }
 
@@ -169,7 +163,7 @@ func (b *Bound) Query() *query.Q { return b.q }
 
 func (o *Options) withDefaults() Options {
 	out := Options{Algorithm: AlgAuto, Workers: 0, MinParallelRows: 2048,
-		MorselSize: 128, AdaptUndershoot: 3}
+		MorselSize: 128}
 	if o != nil {
 		if o.Algorithm != "" {
 			out.Algorithm = o.Algorithm
@@ -182,9 +176,6 @@ func (o *Options) withDefaults() Options {
 			out.MorselSize = o.MorselSize
 		}
 		out.StaticPartition = o.StaticPartition
-		if o.AdaptUndershoot != 0 {
-			out.AdaptUndershoot = o.AdaptUndershoot
-		}
 		if o.MemLimitBytes > 0 {
 			out.MemLimitBytes = o.MemLimitBytes
 		}
@@ -204,10 +195,10 @@ var staticPartitionEnv = sync.OnceValue(func() bool {
 
 // Run plans and executes the bound instance, materializing the full
 // result. With opts nil (or Algorithm AlgAuto) the cost-based planner
-// chooses the algorithm; large instances are hash-partitioned across a
-// worker pool and the per-partition outputs merged (identical to the
-// sequential result). It is a zero-copy wrapper over RunInto with a
-// collecting sink.
+// chooses the algorithm; large instances are split into morsels on one
+// variable, executed by a worker pool, and the per-morsel outputs merged
+// (identical to the sequential result). It is a zero-copy wrapper over
+// RunInto with a collecting sink.
 func (b *Bound) Run(ctx context.Context, opts *Options) (*rel.Relation, *Stats, error) {
 	sink := rel.NewCollect("Q", b.q.AllVars().Members()...)
 	st, err := b.RunInto(ctx, opts, sink)
@@ -300,8 +291,8 @@ func (b *Bound) RunInto(ctx context.Context, opts *Options, sink rel.Sink) (st *
 }
 
 // tallySink counts emitted rows so Stats.OutSize stays accurate without
-// asking the caller's sink anything, and doubles as the sequential-path
-// memory gauge: it accounts each delivered row's bytes and, when a limit
+// asking the caller's sink anything, and doubles as the memory gauge of
+// delivered rows: it accounts each delivered row's bytes and, when a limit
 // is set, stops the producer once the budget is exceeded (RunInto then
 // converts the trip into a *MemLimitError). The count includes the push on
 // which the sink stops the run (a LIMIT-k run reports OutSize k).
@@ -321,6 +312,35 @@ func (t *tallySink) Push(row rel.Tuple) bool {
 		return false
 	}
 	return t.s.Push(row)
+}
+
+// counter returns the caller's sink when it is a bare *rel.CountSink — the
+// COUNT execution mode, in which producers may count rows instead of
+// pushing them (see addCount) — and nil otherwise. A LimitSink wrapping a
+// counter is not bare: it needs every row to know when to stop.
+func (t *tallySink) counter() *rel.CountSink {
+	c, _ := t.s.(*rel.CountSink)
+	return c
+}
+
+// addCount delivers n rows of rowBytes each that a producer counted rather
+// than pushed, into the bare counter. It accounts exactly as n Pushes
+// would: when the budget trips, OutSize and the gauge stop at the row that
+// crossed it, which the counter never sees, and addCount reports false.
+func (t *tallySink) addCount(n int, rowBytes int64) bool {
+	c := t.counter()
+	if t.limit > 0 && rowBytes > 0 && t.bytes+int64(n)*rowBytes > t.limit {
+		k := int((t.limit-t.bytes)/rowBytes) + 1 // the push that crosses the budget
+		t.n += k
+		t.bytes += int64(k) * rowBytes
+		c.N += k - 1
+		t.tripped = true
+		return false
+	}
+	t.n += n
+	t.bytes += int64(n) * rowBytes
+	c.N += n
+	return true
 }
 
 // runOneInto executes the planned algorithm sequentially on q, streaming

@@ -3,17 +3,13 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/query"
 	"repro/internal/rel"
-	"repro/internal/wcoj"
 )
 
 // morselTargetPerWorker is the minimum morsels-per-worker the scheduler
@@ -36,12 +32,6 @@ func morselCount(distinct, workers, morselSize int) int {
 		m = 1
 	}
 	return m
-}
-
-// adaptMinCompleted is how many morsels must complete before the projected
-// output size is trusted enough to trigger adaptivity.
-func adaptMinCompleted(nmorsels int) int {
-	return max(2, nmorsels/8)
 }
 
 // morselKey identifies a memoized morsel partitioning of the bound instance.
@@ -177,41 +167,20 @@ func (q *morselQueue) next(w int) (m int, stolen, ok bool) {
 	}
 }
 
-// morselConfig is the algorithm/order the morsels currently execute with;
-// mid-flight adaptivity publishes a new config for the remaining morsels
-// through an atomic pointer.
-type morselConfig struct {
-	plan  *Plan
-	order []int // generic-join variable order; nil = wcoj.DefaultOrder
-}
-
-// adaptedPlan derives the post-switch plan: generic join under the
-// re-derived variable order, still feeding the shared ProgressStats.
-func adaptedPlan(base *Plan) *Plan {
-	p := *base
-	p.Algorithm = AlgGenericJoin
-	p.Reason = base.Reason + "; re-ordered mid-flight: observed fanout undershot the bound"
-	return &p
-}
-
-// adaptCacheKey memoizes the adaptive verdict per instance sizes in the
-// shape's plan cache (the same keying planAuto uses), so a prepared shape
-// that adapted once starts every later run — on this Bound or any other
-// bound from the same shape at the same sizes — already switched.
-func (b *Bound) adaptCacheKey() string {
-	var key strings.Builder
-	key.WriteString("engine:adapt")
-	for _, r := range b.q.Rels {
-		fmt.Fprintf(&key, ":%d", r.Len())
-	}
-	return key.String()
-}
-
 // runMorselsInto is the morsel-driven scheduler (the default parallel
 // path): v's sorted distinct-value union is range-partitioned into nm ≫
 // workers morsels, a fixed pool pulls them from a work-stealing queue, and
-// the per-morsel sorted runs are merged into sink.
+// the per-morsel results are combined into sink.
 //
+// COUNT: when the caller's sink is a bare *rel.CountSink, each morsel runs
+// into a counter of its own and only its row count reaches this
+// goroutine. runParallelInto's disjointness argument makes the sum of the
+// morsel counts the exact output size, so no morsel materializes a row.
+// The counts are delivered through the tally (tallySink.addCount), so
+// OutSize, MemBytes and the MemLimitBytes trip account exactly as a
+// row-by-row push would.
+//
+// Any other sink needs the rows, so each morsel collects its sorted run.
 // Ordering soundness, extending runParallelInto's disjointness argument:
 // morsel ranges are contiguous and ascending in v, so for any two morsels
 // m < m′, every v-value of m is strictly below every v-value of m′. Output
@@ -227,40 +196,7 @@ func (b *Bound) adaptCacheKey() string {
 // different morsels interleave in output order, so the scheduler falls
 // back to a barrier and a tournament merge (rel.MergeSortedInto) over all
 // runs — still byte-identical, just without early emission.
-//
-// Mid-flight adaptivity: each completed morsel updates the projected
-// output size (outRows·nm/completed, a uniform extrapolation over
-// value-balanced ranges); once enough morsels completed, a projection
-// undershooting the plan's certified 2^LogBound by ≥ AdaptUndershoot
-// doublings re-derives the variable order for the remaining morsels from
-// the observed per-variable fanout the instrumented descents accumulated
-// (wcoj.ObservedOrder). The switch is sound because every order produces
-// the identical sorted run for a morsel; it is memoized in the shape's
-// plan cache so later runs at the same sizes start adapted
-// (prepared-state safe). Only generic-join plans adapt: the undershoot
-// signal means the certified bound is loose, not that a different
-// algorithm is cheaper, and yanking the chain/SM/CSMA machines onto
-// generic join measured as a 12× pessimization on Fig1Skew (their bound
-// looseness is priced into setup, not enumeration). Explicit algorithm
-// requests never adapt.
 func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []rel.Value, workers int, o *Options, st *Stats, sink rel.Sink) error {
-	adaptEnabled := !plan.explicit && o.AdaptUndershoot >= 0 &&
-		plan.Algorithm == AlgGenericJoin &&
-		!math.IsNaN(plan.LogBound) && !math.IsInf(plan.LogBound, 0)
-	ps := wcoj.NewProgressStats(b.q.K)
-	var cfg atomic.Pointer[morselConfig]
-	adaptKey := b.adaptCacheKey()
-	adapted := false
-	if adaptEnabled {
-		if cached, ok := b.q.PlanCache(adaptKey); ok {
-			cfg.Store(&morselConfig{plan: adaptedPlan(plan), order: cached.([]int)})
-			adapted = true
-		}
-	}
-	if cfg.Load() == nil {
-		cfg.Store(&morselConfig{plan: plan})
-	}
-
 	// Grain is algorithm-aware: generic join's per-morsel marginal cost is
 	// proportional to the morsel's own work, so it affords fine morsels. The
 	// chain/SM/CSMA machines pay O(total-input) setup per run (closure
@@ -268,8 +204,7 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	// split does not shrink), so fine grain multiplies setup: their schedule
 	// is capped at one morsel per worker, the same setup bill as the static
 	// scheduler, keeping value-range splits, stealing, and the streaming
-	// frontier (adaptivity only ever re-orders generic-join plans, so this
-	// decision is stable across runs of a shape).
+	// frontier.
 	nm := morselCount(len(vals), workers, o.MorselSize)
 	if plan.Algorithm != AlgGenericJoin && nm > workers {
 		nm = workers
@@ -283,11 +218,33 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	st.Morsels = nm
 	st.WorkerMorsels = make([]int, workers)
 
+	// tally is non-nil in COUNT mode (see above).
+	var tally *tallySink
+	if t, ok := sink.(*tallySink); ok && t.counter() != nil {
+		tally = t
+	}
+	rowBytes := tupleBytes(1, len(b.q.AllVars().Members()))
+
 	gctx, gcancel := context.WithCancel(ctx)
 	defer gcancel()
 	gauge := &memGauge{limit: o.MemLimitBytes, onTrip: gcancel}
 
-	outs := make([]*rel.Relation, nm)
+	outs := make([]*rel.Relation, nm) // per-morsel sorted runs (collecting)
+	counts := make([]int, nm)         // per-morsel row counts (COUNT mode)
+	runMorsel := func(m int) error {
+		qm := b.q.WithFreshRels(parts[m])
+		if tally == nil {
+			var err error
+			outs[m], err = collectSplit(gctx, qm, plan, gauge)
+			return err
+		}
+		s, err := runSplit(gctx, qm, plan, func() rel.Sink { return &rel.CountSink{} })
+		if err == nil {
+			counts[m] = s.(*rel.CountSink).N
+		}
+		return err
+	}
+
 	errs := make([]error, workers)
 	completions := make(chan int, nm) // buffered: a worker never blocks reporting
 	queue := newMorselQueue(nm, workers)
@@ -314,13 +271,10 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 					errs[w] = err
 					return
 				}
-				qm := b.q.WithFreshRels(parts[m])
-				out, err := runMorsel(gctx, qm, cfg.Load(), gauge, ps)
-				if err != nil {
+				if err := runMorsel(m); err != nil {
 					errs[w] = err
 					return
 				}
-				outs[m] = out
 				st.WorkerMorsels[w]++
 				completions <- m
 			}
@@ -334,24 +288,21 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	streamFrontier := v == 0
 	done := make([]bool, nm)
 	next := 0 // least morsel not yet emitted
-	completed, outRows := 0, 0
+	completed := 0
 	stopped := false
 
 	handle := func(m int) {
 		completed++
-		outRows += outs[m].Len()
 		done[m] = true
-		if adaptEnabled && !adapted && completed >= adaptMinCompleted(nm) && completed < nm {
-			projected := float64(outRows) * float64(nm) / float64(completed)
-			if plan.LogBound-math.Log2(math.Max(projected, 1)) >= o.AdaptUndershoot {
-				order := wcoj.ObservedOrder(b.q, ps)
-				cfg.Store(&morselConfig{plan: adaptedPlan(plan), order: order})
-				b.q.SetPlanCache(adaptKey, order)
-				st.AdaptSwitches++
-				adapted = true
+		switch {
+		case stopped:
+		case tally != nil:
+			faultinject.Fire(faultinject.SiteStreamMerge)
+			if !tally.addCount(counts[m], rowBytes) {
+				stopped = true
+				gcancel() // budget tripped: stop the remaining morsels
 			}
-		}
-		if streamFrontier && !stopped {
+		case streamFrontier:
 			for next < nm && done[next] {
 				faultinject.Fire(faultinject.SiteStreamMerge)
 				r := outs[next]
@@ -389,7 +340,8 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 	// Error selection mirrors the static path: a real failure beats the
 	// context.Canceled artifacts its group-cancel induced in the siblings;
 	// then the memory gauge; then a sink stop (a consumer decision, not an
-	// error); then the caller's own cancellation.
+	// error, or a tripped tally that RunInto reports); then the caller's
+	// own cancellation.
 	for _, err := range errs {
 		if err != nil && !errors.Is(err, context.Canceled) {
 			return err
@@ -409,34 +361,9 @@ func (b *Bound) runMorselsInto(ctx context.Context, plan *Plan, v int, vals []re
 			return err
 		}
 	}
-	if !streamFrontier {
+	if !streamFrontier && tally == nil {
 		faultinject.Fire(faultinject.SiteStreamMerge)
 		rel.MergeSortedInto(sink, outs)
 	}
 	return nil
-}
-
-// runMorsel executes one morsel instance under the current config: generic
-// join (planner-chosen or adapted) runs the observed descent so the shared
-// ProgressStats keeps learning; every other algorithm reuses runPartition's
-// per-split fallback chain unchanged.
-func runMorsel(ctx context.Context, qm *query.Q, cfg *morselConfig, gauge *memGauge, ps *wcoj.ProgressStats) (*rel.Relation, error) {
-	if cfg.plan.Algorithm != AlgGenericJoin {
-		return runPartition(ctx, qm, cfg.plan, gauge)
-	}
-	order := cfg.order
-	if order == nil {
-		order = wcoj.DefaultOrder(qm)
-	}
-	vars := qm.AllVars().Members()
-	c := rel.NewCollect("Q", vars...)
-	var s rel.Sink = c
-	if gauge != nil && gauge.limit > 0 {
-		s = &partSink{c: c, g: gauge, rowBytes: tupleBytes(1, len(vars))}
-	}
-	_, err := wcoj.GenericJoinObservedInto(ctx, qm, order, s, ps)
-	if gauge != nil && gauge.limit <= 0 {
-		gauge.add(tupleBytes(c.R.Len(), len(vars)))
-	}
-	return c.R, err
 }

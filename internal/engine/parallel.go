@@ -20,13 +20,14 @@ import (
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // runParallelInto executes the plan by splitting one variable's domain
-// across a worker pool and merging the per-split sorted outputs into sink.
+// across a worker pool and combining the per-split results into sink.
 // Two schedulers implement the split:
 //
 //   - the morsel-driven scheduler (default, runMorselsInto): the partition
 //     variable's sorted distinct-value union is range-partitioned into many
-//     small morsels pulled by the pool with work stealing, merged by a
-//     streaming frontier or a tournament;
+//     small morsels pulled by the pool with work stealing; a bare counter
+//     receives the sum of the morsels' counts, any other sink their sorted
+//     outputs, merged by a streaming frontier or a tournament;
 //   - the legacy static fork/join (Options.StaticPartition): exactly
 //     `workers` hash parts, one per worker, with a full barrier before the
 //     k-way merge (runStaticInto).
@@ -41,9 +42,10 @@ func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // membership constraint there, which no output tuple of the split does.
 // Every executor's per-split output is sorted and deduplicated, so merging
 // the splits in sorted order delivers rows byte-identical to — and in the
-// same order as — the sequential execution. The schedulers differ only in
-// how the merge is interleaved with execution; see runMorselsInto for the
-// frontier-streaming refinement of this argument.
+// same order as — the sequential execution, and summing the splits' counts
+// gives the exact output size. The schedulers differ only in how the merge
+// is interleaved with execution; see runMorselsInto for the count path and
+// the frontier-streaming refinement of this argument.
 //
 // Worker count is clamped to the partition variable's distinct-value count
 // (surfaced in Stats.Workers): beyond that, extra workers would own empty
@@ -113,7 +115,7 @@ func (b *Bound) runStaticInto(ctx context.Context, plan *Plan, v, workers int, m
 				return
 			}
 			qp := b.q.WithFreshRels(parts[p])
-			outs[p], errs[p] = runPartition(gctx, qp, plan, gauge)
+			outs[p], errs[p] = collectSplit(gctx, qp, plan, gauge)
 		}(p)
 	}
 	wg.Wait()
@@ -166,85 +168,91 @@ func (s *partSink) Push(t rel.Tuple) bool {
 	return s.c.Push(t)
 }
 
-// runPartition executes the planned algorithm on one partition instance.
-// Planner-chosen plans degrade gracefully when their full-instance
-// artifacts don't fit the partition's sizes: the chain stays good (goodness
-// is instance-independent), but an SM proof is re-searched per partition
-// and executions that fail fall back to CSMA and finally Generic-Join,
-// which are always applicable. Explicitly requested algorithms never
-// substitute — a partition failure propagates, matching the sequential
-// path's error behaviour. A cancelled ctx always propagates: cancellation
-// is never "fixed" by falling back to another algorithm.
-func runPartition(ctx context.Context, qp *query.Q, plan *Plan, gauge *memGauge) (*rel.Relation, error) {
-	vars := qp.AllVars().Members()
-	rowBytes := tupleBytes(1, len(vars))
-	// Each attempt gets a fresh collector; the gauge is shared across
-	// attempts and partitions (a fallback re-run re-accounts its rows —
-	// acceptable slack for a coarse gauge, and only on the rare fallback).
-	collect := func() (*rel.CollectSink, rel.Sink) {
-		c := rel.NewCollect("Q", vars...)
-		if gauge == nil || gauge.limit <= 0 {
-			return c, c // keep the adoption fast path when nothing can trip
-		}
-		return c, &partSink{c: c, g: gauge, rowBytes: rowBytes}
-	}
-	account := func(c *rel.CollectSink, err error) (*rel.Relation, error) {
-		if gauge != nil && gauge.limit <= 0 {
-			gauge.add(tupleBytes(c.R.Len(), len(vars)))
-		}
-		return c.R, err
-	}
-	var ferr error
+// runSplit executes the planned algorithm on one split instance (a morsel
+// or a static part), running each attempt into a fresh sink from fresh and
+// returning the sink of the attempt that succeeded, so a failed attempt's
+// partial output is never delivered. Planner-chosen plans degrade
+// gracefully when their full-instance artifacts don't fit the split's
+// sizes: the chain stays good (goodness is instance-independent), but an SM
+// proof is re-searched per split and executions that fail fall back to
+// CSMA and finally Generic-Join, which are always applicable. Explicitly
+// requested algorithms never substitute — a split failure propagates,
+// matching the sequential path's error behaviour. A cancelled ctx always
+// propagates: cancellation is never "fixed" by falling back to another
+// algorithm.
+func runSplit(ctx context.Context, qp *query.Q, plan *Plan, fresh func() rel.Sink) (rel.Sink, error) {
 	switch plan.Algorithm {
 	case AlgChain:
-		if plan.Chain != nil {
-			c, s := collect()
-			_, ferr = chainalg.RunInto(ctx, qp, plan.Chain, s)
-			if ferr == nil {
-				return account(c, nil)
-			}
-		} else {
+		s := fresh()
+		if plan.Chain == nil {
 			// Explicit chain request with no planner-supplied chain: each
-			// part searches its own best good chain.
-			c, s := collect()
+			// split searches its own best good chain.
 			_, err := chainalg.RunBestInto(ctx, qp, s)
-			return account(c, err)
+			return s, err
+		}
+		if _, err := chainalg.RunInto(ctx, qp, plan.Chain, s); err == nil {
+			return s, nil
 		}
 	case AlgSM:
-		// Only planner-chosen SM plans reach a partition (Run forces
-		// explicit AlgSM sequential): the full-instance proof is tight for
-		// the full-instance LLP, so the partition re-plans at its own sizes
-		// and may fall back below.
-		c, s := collect()
-		_, ferr = smalg.RunAutoInto(ctx, qp, s)
-		if ferr == nil {
-			return account(c, nil)
+		// Only planner-chosen SM plans reach a split (Run forces explicit
+		// AlgSM sequential): the full-instance proof is tight for the
+		// full-instance LLP, so the split re-plans at its own sizes and may
+		// fall back below.
+		s := fresh()
+		if _, err := smalg.RunAutoInto(ctx, qp, s); err == nil {
+			return s, nil
 		}
 	case AlgGenericJoin:
-		c, s := collect()
+		s := fresh()
 		_, err := wcoj.GenericJoinInto(ctx, qp, wcoj.DefaultOrder(qp), s)
-		return account(c, err)
+		return s, err
 	case AlgBinary:
-		c, s := collect()
+		s := fresh()
 		_, err := wcoj.BinaryPlanInto(ctx, qp, nil, s)
-		return account(c, err)
+		return s, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	// AlgCSMA, plus the fallback chain for planner-chosen chain/SM plans
-	// that failed at this partition's sizes.
-	c, s := collect()
+	// that failed at this split's sizes.
+	s := fresh()
 	_, err := csma.RunInto(ctx, qp, nil, s)
 	if err == nil || plan.explicit {
-		return account(c, err)
+		return s, err
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
-	c, s = collect()
+	s = fresh()
 	_, err = wcoj.GenericJoinInto(ctx, qp, wcoj.DefaultOrder(qp), s)
-	return account(c, err)
+	return s, err
+}
+
+// collectSplit runs one split through runSplit into collectors and returns
+// its sorted output run. Every materialized row is accounted in the shared
+// gauge: row by row when a limit can trip it (a fallback attempt
+// re-accounts its rows — acceptable slack for a coarse gauge, and only on
+// the rare fallback), otherwise once for the successful run, so the
+// collector stays bare and keeps rel.Stream's adoption fast path.
+func collectSplit(ctx context.Context, qp *query.Q, plan *Plan, gauge *memGauge) (*rel.Relation, error) {
+	vars := qp.AllVars().Members()
+	s, err := runSplit(ctx, qp, plan, func() rel.Sink {
+		c := rel.NewCollect("Q", vars...)
+		if gauge.limit <= 0 {
+			return c
+		}
+		return &partSink{c: c, g: gauge, rowBytes: tupleBytes(1, len(vars))}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if ps, ok := s.(*partSink); ok {
+		return ps.c.R, nil
+	}
+	c := s.(*rel.CollectSink)
+	gauge.add(tupleBytes(c.R.Len(), len(vars)))
+	return c.R, nil
 }
 
 // choosePartitionVar picks the variable whose domain is split across the

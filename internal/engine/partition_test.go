@@ -18,12 +18,21 @@ func TestRunPartitionSMFallsBackToCSMA(t *testing.T) {
 	// CSMA, then Generic-Join — and still produce the exact answer.
 	q, _ := paper.Fig9Instance(16)
 	plan := &Plan{Algorithm: AlgSM} // planner-style: explicit == false
-	out, err := runPartition(context.Background(), q, plan, &memGauge{})
+	out, err := collectSplit(context.Background(), q, plan, &memGauge{})
 	if err != nil {
 		t.Fatalf("fallback did not rescue the partition: %v", err)
 	}
-	if !rel.Equal(out, naive.Evaluate(q)) {
+	want := naive.Evaluate(q)
+	if !rel.Equal(out, want) {
 		t.Fatal("fallback output disagrees with naive")
+	}
+	// Counting: only the attempt that succeeded delivers its count.
+	s, err := runSplit(context.Background(), q, plan, func() rel.Sink { return &rel.CountSink{} })
+	if err != nil {
+		t.Fatalf("fallback did not rescue the counting partition: %v", err)
+	}
+	if n := s.(*rel.CountSink).N; n != want.Len() {
+		t.Fatalf("fallback counted %d rows, want %d", n, want.Len())
 	}
 }
 
@@ -47,7 +56,7 @@ func TestRunPartitionPlannerChainOnEmptyPartition(t *testing.T) {
 	for j, r := range q.Rels {
 		empty[j] = rel.New(r.Name, r.Attrs...)
 	}
-	out, err := runPartition(context.Background(), q.WithFreshRels(empty), plan, &memGauge{})
+	out, err := collectSplit(context.Background(), q.WithFreshRels(empty), plan, &memGauge{})
 	if err != nil {
 		t.Fatal(err)
 	}

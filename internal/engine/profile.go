@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/rel"
-	"repro/internal/wcoj"
 )
 
 // PartProfile holds the sequential execution time of every parallel split
@@ -56,13 +55,11 @@ func (b *Bound) ProfileSplits(ctx context.Context, opts *Options, static bool) (
 		}
 		parts = b.morselParts(v, vals, nm)
 	}
-	cfg := &morselConfig{plan: plan}
-	ps := wcoj.NewProgressStats(b.q.K)
 	prof := &PartProfile{Durations: make([]time.Duration, len(parts))}
 	for m, rels := range parts {
 		qm := b.q.WithFreshRels(rels)
 		start := time.Now()
-		if _, err := runMorsel(ctx, qm, cfg, &memGauge{}, ps); err != nil {
+		if _, err := collectSplit(ctx, qm, plan, &memGauge{}); err != nil {
 			return nil, err
 		}
 		prof.Durations[m] = time.Since(start)

@@ -19,6 +19,8 @@
 //     degree constraints (Sec. 5.3)
 //   - the 4-cycle with a simple key and the xy→z key example (Sec. 2,
 //     "Closure")
+//   - the named lattices the Fig. 10 taxonomy classifies (Fig10Lattices),
+//     and the structure-only N5
 package paper
 
 import (
@@ -399,6 +401,38 @@ func Fig7Family() []varset.Set {
 		varset.Of(0, 1, 3, 4), // A = X ∨ Y
 		varset.Of(1, 4, 5),    // D = B ∨ U = Y ∨ U
 		varset.Universe(6),
+	}
+}
+
+// N5Family returns the pentagon N5 as a closure family over 3 variables:
+// the chain ∅ < {x} < {x,y} < {x,y,z} with {z} beside it. It is normal
+// but not modular.
+func N5Family() []varset.Set {
+	return []varset.Set{varset.Empty, varset.Of(0), varset.Of(0, 1), varset.Of(2), varset.Of(0, 1, 2)}
+}
+
+// NamedLattice is one lattice the paper names, carried by a query instance
+// whose FD lattice it is.
+type NamedLattice struct {
+	Label string
+	Query *query.Q
+}
+
+// Fig10Lattices returns the named lattices that have an instance, in the
+// order the Fig. 10 taxonomy lists them: the Boolean algebra, Fig. 1, M3,
+// Figs. 4, 5 and 9, and simple FDs. N5 and Fig. 7 are structure-only (see
+// N5Family and Fig7Family).
+func Fig10Lattices() []NamedLattice {
+	q4, _ := Fig4Instance(27)
+	q9, _ := Fig9Instance(16)
+	return []NamedLattice{
+		{"Boolean algebra (triangle)", TriangleProduct(3)},
+		{"Fig.1 running example", Fig1QuasiProduct(16)},
+		{"M3 (Fig.3 right)", M3Instance(8)},
+		{"Fig.4 (chain bound not tight)", q4},
+		{"Fig.5 (z = f(x,y))", Fig5Instance(8)},
+		{"Fig.9 (no SM proof)", q9},
+		{"simple FDs (Prop. 3.2)", SimpleFDChain(4, 16)},
 	}
 }
 

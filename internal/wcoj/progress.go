@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/rel"
-	"repro/internal/varset"
 )
 
 // ProgressStats accumulates the observed search shape of generic-join
@@ -14,14 +13,12 @@ import (
 // (visits), how many candidate values the seed relation offered (candidates),
 // and how many survived the intersection + FD checks and were recursed into
 // (matches). Matches/Visits is the observed average fanout — the runtime
-// counterpart of the planner's certified degree bounds, and the signal the
-// engine's mid-flight adaptivity uses to re-derive a variable order for
-// remaining morsels.
+// counterpart of the planner's certified degree bounds.
 //
-// One ProgressStats is shared by every concurrent morsel descent of a query:
-// all fields are atomics, and each descent batches its counts locally,
+// One ProgressStats may be shared by concurrent descents of a query: all
+// fields are atomics, and each descent batches its counts locally,
 // flushing once per call, so the shared cachelines are touched O(1) times
-// per morsel rather than per trie step.
+// per call rather than per trie step.
 type ProgressStats struct {
 	visits  []atomic.Int64
 	cands   []atomic.Int64
@@ -48,17 +45,6 @@ func (p *ProgressStats) Candidates(v int) int64 { return p.cands[v].Load() }
 
 // Matches returns how many bindings of v survived into the next depth.
 func (p *ProgressStats) Matches(v int) int64 { return p.matches[v].Load() }
-
-// AvgFanout returns the observed average number of surviving bindings of v
-// per visiting descent node, or 1 when v was never visited (a variable the
-// order derived via FDs, or one the search never reached).
-func (p *ProgressStats) AvgFanout(v int) float64 {
-	n := p.visits[v].Load()
-	if n == 0 {
-		return 1
-	}
-	return float64(p.matches[v].Load()) / float64(n)
-}
 
 // progressLocal is a descent's private tally, flushed into the shared
 // atomics once when the call returns.
@@ -115,42 +101,4 @@ func GenericJoinObservedInto(ctx context.Context, q *query.Q, order []int, sink 
 		return st, nil
 	}
 	return genericJoinObserved(ctx, q, order, sink, ps)
-}
-
-// ObservedOrder derives a variable order from observed fanouts: like
-// DefaultOrder it only schedules a variable once it is stored in a relation
-// or derivable from the prefix, but among the eligible variables it picks
-// the one with the smallest observed average fanout first — bind the most
-// selective variables early so the descent's branching stays narrow. Ties
-// (including the all-unvisited cold start) fall back to ascending variable
-// id, which reproduces DefaultOrder exactly.
-func ObservedOrder(q *query.Q, ps *ProgressStats) []int {
-	covered := q.CoveredVars()
-	order := make([]int, 0, q.K)
-	var have varset.Set
-	for len(order) < q.K {
-		reach := derivableFrom(q, have)
-		picked := -1
-		var pickedFan float64
-		for v := 0; v < q.K; v++ {
-			if have.Contains(v) || !(covered.Contains(v) || reach.Contains(v)) {
-				continue
-			}
-			fan := ps.AvgFanout(v)
-			if picked < 0 || fan < pickedFan {
-				picked, pickedFan = v, fan
-			}
-		}
-		if picked < 0 {
-			for v := 0; v < q.K; v++ {
-				if !have.Contains(v) {
-					picked = v
-					break
-				}
-			}
-		}
-		order = append(order, picked)
-		have = have.Add(picked)
-	}
-	return order
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/paper"
-	"repro/internal/query"
 	"repro/internal/rel"
 )
 
@@ -82,49 +81,6 @@ func TestObservedSharedAcrossConcurrentDescents(t *testing.T) {
 			ps.Matches(v) != workers*ps1.Matches(v) {
 			t.Fatalf("var %d: shared tallies not %d× the single run: visits %d/%d cands %d/%d matches %d/%d",
 				v, workers, ps.Visits(v), ps1.Visits(v), ps.Candidates(v), ps1.Candidates(v), ps.Matches(v), ps1.Matches(v))
-		}
-	}
-}
-
-// TestObservedOrderColdStartIsDefault checks that with no observations the
-// observed order degrades to DefaultOrder, and that whatever order it picks
-// after observation is a valid permutation producing identical results.
-func TestObservedOrderColdStart(t *testing.T) {
-	for _, q := range []*query.Q{
-		paper.TriangleRandom(8, 40, 1),
-		paper.Fig1QuasiProduct(8),
-	} {
-		cold := ObservedOrder(q, NewProgressStats(q.K))
-		def := DefaultOrder(q)
-		for i := range cold {
-			if cold[i] != def[i] {
-				t.Fatalf("cold observed order %v differs from default %v", cold, def)
-			}
-		}
-
-		ps := NewProgressStats(q.K)
-		var c rel.CountSink
-		if _, err := GenericJoinObservedInto(context.Background(), q, def, &c, ps); err != nil {
-			t.Fatal(err)
-		}
-		adapted := ObservedOrder(q, ps)
-		seen := make(map[int]bool, len(adapted))
-		for _, v := range adapted {
-			if v < 0 || v >= q.K || seen[v] {
-				t.Fatalf("observed order %v is not a permutation of 0..%d", adapted, q.K-1)
-			}
-			seen[v] = true
-		}
-		want, _, err := GenericJoin(q, def)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := GenericJoin(q, adapted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rel.Identical(want, got) {
-			t.Fatalf("adapted order %v changes the result", adapted)
 		}
 	}
 }
